@@ -22,11 +22,13 @@ scales with ``|Sigma|``:
   BFS tree, and the "languages agree" verdict — the common case in change
   validation — costs a single joint pass.  Per-product-state work is bounded
   by the automata's local out-degree, never by ``|Sigma|``.
-* **Fused image** (:meth:`~repro.automata.fst.FST.image`): ``P ▷ R`` walks
-  ``(acceptor, transducer)`` state pairs directly, driven by the acceptor's
-  (small) transition rows against a cached by-input-label arc index on the
-  transducer, instead of materializing ``identity(P)``, a full composition,
-  and a projection per class per spec branch.
+* **Fused image** (:func:`~repro.automata.lazy.relation_image`, behind both
+  :meth:`~repro.automata.fst.FST.image` and ``LazyFST.image``): ``P ▷ R``
+  walks ``(acceptor, transducer)`` state pairs directly, driven by the
+  acceptor's (small) transition rows against the transducer's ``step``
+  arcs, instead of materializing ``identity(P)``, a full composition, and a
+  projection per class per spec branch.  Epsilon-output moves are closed
+  over inside the walk, so the image is an epsilon-free NFA.
 * **Delayed transducer operations** (the OpenFST-style layer in
   :mod:`repro.automata.lazy`): spec *compilation* is a DAG of delayed
   nodes instead of materialized transducers.  :class:`~repro.automata.lazy.LazyFST`
@@ -47,7 +49,7 @@ scales with ``|Sigma|``:
     30+-branch ``else`` chain never builds the multiplicative product.
 
   Expansions are memoized per node, and
-  :func:`~repro.automata.lazy.relation_image` (== ``LazyFST.image``) is the
+  :func:`~repro.automata.lazy.relation_image` is the
   decision boundary that forces a delayed relation against a snapshot
   automaton; :meth:`LazyFST.to_fst` fully materializes a node for tests.
 * **Eager oracle retained**: the textbook constructions

@@ -17,7 +17,8 @@ This module mirrors those constructions:
 * :meth:`FST.union`, :meth:`FST.concat`, :meth:`FST.star` — the regular
   operations on relations;
 * :meth:`FST.compose` — relation composition ``R1 ∘ R2``;
-* :meth:`FST.image` — ``P ▷ R``, implemented as ``project_out(I(P) ∘ R)``.
+* :meth:`FST.image` — ``P ▷ R``, the language of ``project_out(I(P) ∘ R)``
+  computed by one fused, epsilon-free product walk.
 """
 
 from __future__ import annotations
@@ -373,66 +374,18 @@ class FST:
     def image(self, fsa: FSA) -> FSA:
         """``P ▷ R``: the set of paths related to some path accepted by ``fsa``.
 
-        Computed as a single fused product walk over ``(fsa_state, fst_state)``
-        pairs: the acceptor consumes the relation's input tape directly while
-        the relation's output tape becomes the result's transitions.  This is
-        language-equivalent to ``identity(fsa).compose(self).project_output()``
-        (kept as :meth:`image_via_compose`, the reference oracle) but never
-        materializes the identity transducer or the intermediate composition —
-        one FST construction and one epsilon-handling pass fewer per flow
-        equivalence class per spec branch.
+        Computed by :func:`~repro.automata.lazy.relation_image`, the fused
+        product walk shared with delayed relations: the acceptor consumes the
+        relation's input tape directly while the relation's output tape
+        becomes the result's transitions, and the result is epsilon-free.
+        This is language-equivalent to
+        ``identity(fsa).compose(self).project_output()`` (kept as
+        :meth:`image_via_compose`, the reference oracle) but never
+        materializes the identity transducer or the intermediate composition.
         """
-        require_same_alphabet(self.alphabet, fsa.alphabet)
-        result = FSA(self.alphabet)
-        start = (fsa.initial, self.initial)
-        pair_ids: dict[tuple[int, int], int] = {start: result.initial}
-        if fsa.initial in fsa.accepting and self.initial in self.accepting:
-            result.mark_accepting(result.initial)
-        queue: deque[tuple[int, int]] = deque([start])
+        from repro.automata.lazy import relation_image  # lazy imports this module
 
-        def state_for(p: int, t: int) -> int:
-            key = (p, t)
-            state = pair_ids.get(key)
-            if state is None:
-                state = result.add_state()
-                pair_ids[key] = state
-                if p in fsa.accepting and t in self.accepting:
-                    result.mark_accepting(state)
-                queue.append(key)
-            return state
-
-        rows = result.transitions
-        index = self._arcs_by_input()
-
-        def link(src_row: dict, label: Label, dst: int) -> None:
-            bucket = src_row.get(label)
-            if bucket is None:
-                src_row[label] = {dst}
-            else:
-                bucket.add(dst)
-
-        while queue:
-            p, t = queue.popleft()
-            src_row = rows[pair_ids[(p, t)]]
-            eps_arcs, by_symbol = index[t]
-            # The transducer advances alone, emitting its output label.
-            for out_label, dst_t in eps_arcs:
-                link(src_row, out_label, state_for(p, dst_t))
-            # Drive the synchronized moves off the acceptor's (small) row,
-            # not the transducer's (Sigma-sized, for spec relations) arcs.
-            for symbol, p_dsts in fsa.transitions[p].items():
-                if symbol is EPSILON:
-                    # The acceptor advances alone on its epsilon moves.
-                    for dst_p in p_dsts:
-                        link(src_row, EPSILON, state_for(dst_p, t))
-                    continue
-                matches = by_symbol.get(symbol)
-                if not matches:
-                    continue
-                for out_label, dst_t in matches:
-                    for dst_p in p_dsts:
-                        link(src_row, out_label, state_for(dst_p, dst_t))
-        return result
+        return relation_image(self, fsa)
 
     def image_via_compose(self, fsa: FSA) -> FSA:
         """Eager reference implementation of :meth:`image` (the oracle)."""

@@ -579,60 +579,85 @@ class LazyCompose(LazyFST):
 def relation_image(relation: FST | LazyFST, fsa: FSA) -> FSA:
     """``P ▷ R`` for any relation implementing the arc-iteration protocol.
 
-    The same fused product walk as :meth:`FST.image` — the acceptor consumes
-    the relation's input tape while the output tape becomes the result's
-    transitions — but driven through ``eps_arcs``/``step`` so delayed
-    relation graphs are expanded exactly as far as the acceptor reaches.
-    This is where a lazy spec relation is forced into a concrete path set.
+    A fused product walk over ``(acceptor state, relation state)`` pairs:
+    the acceptor consumes the relation's input tape while the output tape
+    becomes the result's transitions, driven through ``eps_arcs``/``step``
+    so delayed relation graphs are expanded exactly as far as the acceptor
+    reaches.  This is where a spec relation is forced into a concrete path
+    set.
+
+    The result is an epsilon-free NFA (generic epsilon removal, Mohri 2002,
+    done inside the walk).  Only the start pair and the targets of arcs with
+    a non-epsilon output become result states.  Expanding one follows its
+    epsilon closure over pairs on the fly — relation ``ε:ε`` arcs (the
+    ``LazyUnion`` fan-out, Thompson chains), acceptor epsilon moves and
+    ``a:ε`` deletions — emits the non-epsilon-output arcs of every closure
+    member and accepts if any member does.  The pairs reached only through
+    epsilon outputs never become states, so the equivalence check that
+    consumes the image has no epsilon closures left to undo.
     """
     require_same_alphabet(relation.alphabet, fsa.alphabet)
     result = FSA(fsa.alphabet)
     start = (fsa.initial, relation.initial)
     pair_ids: dict[tuple[int, int], int] = {start: result.initial}
-    if fsa.initial in fsa.accepting and relation.is_accepting(relation.initial):
-        result.mark_accepting(result.initial)
     queue: deque[tuple[int, int]] = deque([start])
     rows = result.transitions
-
-    def state_for(p: int, t: int) -> int:
-        key = (p, t)
-        state = pair_ids.get(key)
-        if state is None:
-            state = pair_ids[key] = result.add_state()
-            if p in fsa.accepting and relation.is_accepting(t):
-                result.mark_accepting(state)
-            queue.append(key)
-        return state
-
-    def link(src_row: dict, label: Label, dst: int) -> None:
-        bucket = src_row.get(label)
-        if bucket is None:
-            src_row[label] = {dst}
-        else:
-            bucket.add(dst)
+    acceptor_rows = fsa.transitions
+    acceptor_accepting = fsa.accepting
+    eps_arcs, step, is_accepting = relation.eps_arcs, relation.step, relation.is_accepting
 
     deadline = active_deadline()
     steps = 0
     while queue:
-        if deadline is not None:
-            steps += 1
-            if not steps & POLL_MASK:
-                check_deadline(deadline)
-        p, t = queue.popleft()
-        src_row = rows[pair_ids[(p, t)]]
-        # The relation advances alone, emitting its output label.
-        for out_label, dst_t in relation.eps_arcs(t):
-            link(src_row, out_label, state_for(p, dst_t))
-        # Synchronized moves, driven off the acceptor's (small) rows.
-        for symbol, p_dsts in fsa.transitions[p].items():
-            if symbol is EPSILON:
-                for dst_p in p_dsts:
-                    link(src_row, EPSILON, state_for(dst_p, t))
+        pair = queue.popleft()
+        src = pair_ids[pair]
+        accepting = False
+        # Walk the epsilon-output closure of ``pair``: epsilon-output arcs
+        # push closure members, the others are collected as result arcs.
+        closure: set[tuple[int, int]] = set()
+        stack = [pair]
+        emitted: list[tuple[int, tuple[int, int]]] = []
+        while stack:
+            member = stack.pop()
+            if member in closure:
                 continue
-            matches = relation.step(t, symbol)
-            if not matches:
-                continue
-            for out_label, dst_t in matches:
-                for dst_p in p_dsts:
-                    link(src_row, out_label, state_for(dst_p, dst_t))
+            closure.add(member)
+            if deadline is not None:
+                steps += 1
+                if not steps & POLL_MASK:
+                    check_deadline(deadline)
+            p, t = member
+            if not accepting and p in acceptor_accepting and is_accepting(t):
+                accepting = True
+            # The relation advances alone, emitting its output label.
+            for out, dst_t in eps_arcs(t):
+                if out is EPSILON:
+                    stack.append((p, dst_t))
+                else:
+                    emitted.append((out, (p, dst_t)))
+            # Synchronized moves, driven off the acceptor's (small) rows.
+            for symbol, p_dsts in acceptor_rows[p].items():
+                if symbol is EPSILON:
+                    for dst_p in p_dsts:
+                        stack.append((dst_p, t))
+                    continue
+                for out, dst_t in step(t, symbol):
+                    for dst_p in p_dsts:
+                        if out is EPSILON:
+                            stack.append((dst_p, dst_t))
+                        else:
+                            emitted.append((out, (dst_p, dst_t)))
+        row = rows[src]
+        for out, key in emitted:
+            dst = pair_ids.get(key)
+            if dst is None:
+                dst = pair_ids[key] = result.add_state()
+                queue.append(key)
+            bucket = row.get(out)
+            if bucket is None:
+                row[out] = {dst}
+            else:
+                bucket.add(dst)
+        if accepting:
+            result.mark_accepting(src)
     return result

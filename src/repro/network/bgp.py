@@ -330,20 +330,6 @@ class BGPComputation:
             exit_router=exit_router,
         )
 
-    def _select_all(
-        self, ribs: dict[str, dict[str | None, dict[Prefix, Route]]]
-    ) -> SelectedRoutes:
-        selected: SelectedRoutes = {}
-        for router, per_peer in ribs.items():
-            by_prefix: dict[Prefix, list[Route]] = {}
-            for routes in per_peer.values():
-                for prefix, route in routes.items():
-                    by_prefix.setdefault(prefix, []).append(route)
-            selected[router] = {
-                prefix: self._select(router, routes) for prefix, routes in by_prefix.items()
-            }
-        return selected
-
     def _select(self, router: str, routes: list[Route]) -> list[Route]:
         """Best-route selection with ECMP ties."""
 

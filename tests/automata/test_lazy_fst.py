@@ -15,6 +15,9 @@ from repro.automata import (
     check_equal,
     relation_image,
 )
+from repro.automata.fsa import EPSILON
+from repro.rela import any_hops, any_of, atomic, drop, nochange, seq
+from repro.verifier import compile_spec
 
 
 def alphabet() -> Alphabet:
@@ -32,7 +35,11 @@ def assert_same_relation(lazy, eager: FST) -> None:
     sigma_star = FSA.any_symbol(eager.alphabet).star()
     assert check_equal(forced.project_input(), eager.project_input())
     assert check_equal(forced.project_output(), eager.project_output())
-    assert check_equal(lazy.image(sigma_star), eager.image(sigma_star))
+    assert check_equal(lazy.image(sigma_star), eager.image_via_compose(sigma_star))
+
+
+def assert_epsilon_free(fsa: FSA) -> None:
+    assert all(EPSILON not in row for row in fsa.transitions)
 
 
 def test_lazy_identity_matches_eager_identity():
@@ -140,8 +147,8 @@ def test_concrete_fst_implements_arc_iteration_protocol():
     ab = alphabet()
     fst = FST.cross(words(ab, ["a"]), words(ab, ["b"]))
     probe = words(ab, ["a"], ["c"])
-    # relation_image over a concrete FST agrees with its fused image.
-    assert check_equal(relation_image(fst, probe), fst.image(probe))
+    # relation_image over a concrete FST agrees with the eager compose oracle.
+    assert check_equal(relation_image(fst, probe), fst.image_via_compose(probe))
     assert fst.is_accepting(next(iter(fst.accepting)))
     assert not fst.is_accepting(fst.initial)
 
@@ -173,3 +180,29 @@ def test_image_memoization_shared_across_queries():
     second = lazy.image(words(ab, ["b"]))
     assert first.language() == second.language()
     assert len(lazy._step_cache) == expanded  # second walk hit the caches
+
+
+def test_shadowed_union_spec_image_is_epsilon_free_and_small():
+    """Regression pin for the epsilon-free image kernel.
+
+    A four-branch ``else`` chain compiles to a flat shadowed ``LazyUnion``
+    whose fresh initial state fans out by epsilon arcs into every branch.
+    The walk that kept every reachable pair as a state imaged this spec
+    into 85 (pre) and 54 (post) states carrying 69 and 35 epsilon arcs; the
+    epsilon-free walk needs 16 and 19 states and no epsilon arcs.
+    """
+    ab = Alphabet(["a", "b", "c", "d", "drop"])
+    spec = (
+        atomic(seq("a", any_hops(), "d"), any_of(seq("a", "b", "d")))
+        .else_(atomic(seq("b", any_hops()), drop()))
+        .else_(atomic(seq("c", any_hops()), any_of(seq("c", "d"))))
+        .else_(nochange())
+    )
+    compiled = compile_spec(spec, ab)
+    assert isinstance(compiled.pre_fst, LazyUnion) and len(compiled.branches) == 4
+    paths = words(ab, ["a", "c", "d"], ["b", "d"], ["c", "a"], ["d", "a", "b"])
+    for relation, max_states in ((compiled.pre_fst, 16), (compiled.post_fst, 19)):
+        image = relation.image(paths)
+        assert_epsilon_free(image)
+        assert image.num_states <= max_states
+        assert check_equal(image, relation.to_fst().image_via_compose(paths))

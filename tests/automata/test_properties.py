@@ -238,13 +238,49 @@ def build_fst(description: FstDescription, alphabet: Alphabet) -> FST:
     return fst
 
 
-@settings(max_examples=60, deadline=None)
-@given(rel=fst_strategy(), acceptor=nfa_strategy())
+def assert_epsilon_free(fsa: FSA) -> None:
+    """The image kernel closes over epsilon outputs: no row has an epsilon key."""
+    assert all(EPSILON not in row for row in fsa.transitions)
+
+
+@st.composite
+def epsilon_fst_strategy(draw) -> FstDescription:
+    """A random FST that always has an ε:ε cycle, an ε:a insertion and an a:ε deletion."""
+    num_states, arcs, accepting = draw(fst_strategy())
+    states = st.integers(min_value=0, max_value=num_states - 1)
+    symbols = st.integers(min_value=0, max_value=len(SYMBOLS) - 1)
+    first, second = draw(states), draw(states)
+    forced = [
+        (first, None, None, second),
+        (second, None, None, first),
+        (draw(states), None, draw(symbols), draw(states)),
+        (draw(states), draw(symbols), None, draw(states)),
+    ]
+    return num_states, arcs + forced, accepting
+
+
+@st.composite
+def epsilon_nfa_strategy(draw) -> NfaDescription:
+    """A random acceptor that always has at least one epsilon move."""
+    num_states, transitions, accepting = draw(nfa_strategy())
+    states = st.integers(min_value=0, max_value=num_states - 1)
+    return num_states, transitions + [(draw(states), None, draw(states))], accepting
+
+
+#: Relations and acceptors for the image and delayed-operation oracle tests:
+#: half of the draws carry forced epsilon structure.
+RELATIONS = st.one_of(fst_strategy(), epsilon_fst_strategy())
+ACCEPTORS = st.one_of(nfa_strategy(), epsilon_nfa_strategy())
+
+
+@settings(max_examples=100, deadline=None)
+@given(rel=RELATIONS, acceptor=ACCEPTORS)
 def test_fused_image_matches_compose_oracle(rel, acceptor):
     ab = fresh_alphabet()
     fst, fsa = build_fst(rel, ab), build_nfa(acceptor, ab)
     fused = fst.image(fsa)
     eager = fst.image_via_compose(fsa)
+    assert_epsilon_free(fused)
     assert check_equal(fused, eager)
     assert fused.language(max_count=50, max_length=8) == eager.language(max_count=50, max_length=8)
 
@@ -274,14 +310,16 @@ def assert_relations_equal(lazy, eager: FST, acceptor: FSA) -> None:
     the two projections of the forced delayed graph must agree with the
     eagerly built transducer.
     """
-    assert check_equal(lazy.image(acceptor), eager.image(acceptor))
+    image = lazy.image(acceptor)
+    assert_epsilon_free(image)
+    assert check_equal(image, eager.image_via_compose(acceptor))
     forced = lazy.to_fst()
     assert check_equal(forced.project_input(), eager.project_input())
     assert check_equal(forced.project_output(), eager.project_output())
 
 
 @settings(max_examples=60, deadline=None)
-@given(left=fst_strategy(), right=fst_strategy(), acceptor=nfa_strategy())
+@given(left=RELATIONS, right=RELATIONS, acceptor=ACCEPTORS)
 def test_lazy_union_matches_eager_union(left, right, acceptor):
     ab = fresh_alphabet()
     left_fst, right_fst = build_fst(left, ab), build_fst(right, ab)
@@ -291,7 +329,7 @@ def test_lazy_union_matches_eager_union(left, right, acceptor):
 
 
 @settings(max_examples=60, deadline=None)
-@given(left=fst_strategy(), right=fst_strategy(), acceptor=nfa_strategy())
+@given(left=RELATIONS, right=RELATIONS, acceptor=ACCEPTORS)
 def test_lazy_compose_matches_eager_compose(left, right, acceptor):
     ab = fresh_alphabet()
     left_fst, right_fst = build_fst(left, ab), build_fst(right, ab)
@@ -317,9 +355,9 @@ def test_lazy_identity_and_complement_zone_match_eager(language, acceptor):
 @settings(max_examples=40, deadline=None)
 @given(
     zone=nfa_strategy(),
-    primary=fst_strategy(),
-    fallback=fst_strategy(),
-    acceptor=nfa_strategy(),
+    primary=RELATIONS,
+    fallback=RELATIONS,
+    acceptor=ACCEPTORS,
 )
 def test_lazy_branch_shadowing_matches_eager_pipeline(zone, primary, fallback, acceptor):
     """The spec-compilation shape R1 | (I(¬Z) ∘ R2), delayed vs. eager."""
